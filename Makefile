@@ -12,13 +12,14 @@
 # surface: the shipping/apply/promotion paths under -race and the failover
 # sweep smoke (every scheme, record-boundary stream cuts; DESIGN.md §14),
 # and the sharding surface: the 2PC router under -race and the two-shard
-# crash/stall sweep smoke (every scheme; DESIGN.md §16).
+# crash/stall sweep smoke (every scheme; DESIGN.md §16), and the repository
+# benchmark module (qsbench) vetted and tested against the current tree.
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweep-smoke sweep-full race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke bench-commit bench-ckpt race-repl repl-sweep-smoke bench-repl race-shard twopc-sweep-smoke bench-shard
+.PHONY: check vet lint lint-fixtures build test race sweep-smoke sweep-full race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke bench-commit bench-ckpt race-repl repl-sweep-smoke bench-repl race-shard twopc-sweep-smoke bench-shard qsbench-check
 
-check: vet lint lint-fixtures build race sweep-smoke race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke race-repl repl-sweep-smoke race-shard twopc-sweep-smoke
+check: vet lint lint-fixtures build race sweep-smoke race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke race-repl repl-sweep-smoke race-shard twopc-sweep-smoke qsbench-check
 
 vet:
 	$(GO) vet ./...
@@ -106,10 +107,11 @@ fuzzy-sweep-smoke:
 bench-ckpt-smoke:
 	$(GO) run ./cmd/benchcommit -ckpt -out $${TMPDIR:-/tmp}/BENCH_checkpoint_smoke.json
 
-# Multi-client commit-throughput benchmark: serialized baseline vs group
-# commit, per scheme, writing BENCH_commit.json — plus the same grid over a
-# checksummed volume (BENCH_commit_checksum.json) so the integrity tax of
-# the per-page CRC envelope stays visible in the perf trajectory.
+# Multi-client commit-throughput benchmark: concurrent sessions with group
+# commit, per scheme and client count, writing BENCH_commit.json — plus the
+# same grid over a checksummed volume (BENCH_commit_checksum.json) so the
+# integrity tax of the per-page CRC envelope stays visible in the perf
+# trajectory.
 bench-commit:
 	$(GO) run ./cmd/benchcommit -out BENCH_commit.json
 	$(GO) run ./cmd/benchcommit -checksum -out BENCH_commit_checksum.json
@@ -155,3 +157,9 @@ twopc-sweep-smoke:
 # writing BENCH_shard.json (DESIGN.md §16).
 bench-shard:
 	$(GO) run ./cmd/benchcommit -shards 4 -out BENCH_shard.json
+
+# qsbench (BENCHMARK.json's harness) is a module of its own, so `go test
+# ./...` from the root never compiles it; vet and test it here so a change
+# to the server or wal API it builds against cannot break the benchmark.
+qsbench-check:
+	cd qsbench && $(GO) vet ./... && $(GO) test ./...

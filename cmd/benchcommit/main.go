@@ -1,20 +1,18 @@
 // Command benchcommit measures multi-client commit throughput against one
-// in-process server, comparing the serialized pre-concurrency baseline (one
-// global mutex, one inline log force per commit) with concurrent sessions
-// plus group commit.
+// in-process server with concurrent sessions and group commit.
 //
 // Each client runs small update transactions against its own page (the
 // paper's private-module workload, which keeps lock conflicts out of the
 // measurement), so the contended resource is exactly what group commit
 // targets: the stable log device. The log's modeled write latency
-// (-writedelay) is paid per force, so a group flush covering k commits pays
-// it once where the baseline pays it k times.
+// (-writedelay) is paid per stable write, so a group write covering k
+// commits pays it once where k inline forces would pay it k times.
 //
 //	benchcommit -out BENCH_commit.json
 //
-// The output JSON records, per scheme x client count x arm: wall-clock
-// commit throughput, stable log forces vs commits, and the group-commit
-// batching histogram, plus a summary with the 8-client speedup per scheme.
+// The output JSON records, per scheme x client count: wall-clock commit
+// throughput, stable log forces vs commits, and the group-commit batching
+// histogram, plus a per-scheme summary of the 8-client cell.
 package main
 
 import (
@@ -36,11 +34,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Run is one benchmark cell: a scheme, a client count and an arm.
+// Run is one benchmark cell: a scheme and a client count.
 type Run struct {
 	Scheme     string  `json:"scheme"`
 	Clients    int     `json:"clients"`
-	Arm        string  `json:"arm"` // "serialized" or "group"
 	Txns       int64   `json:"txns"`
 	Seconds    float64 `json:"seconds"`
 	TxnsPerSec float64 `json:"txns_per_sec"`
@@ -59,9 +56,7 @@ type Run struct {
 // Summary distills the acceptance criterion per scheme.
 type Summary struct {
 	Scheme              string  `json:"scheme"`
-	SerializedTPS8      float64 `json:"serialized_tps_8_clients"`
 	GroupTPS8           float64 `json:"group_tps_8_clients"`
-	Speedup8            float64 `json:"speedup_8_clients"`
 	GroupForces8        int64   `json:"group_log_forces_8_clients"`
 	GroupCommits8       int64   `json:"group_commits_8_clients"`
 	ForcesBelowCommits8 bool    `json:"forces_below_commits_8_clients"`
@@ -147,33 +142,20 @@ func main() {
 	}
 
 	for _, sc := range schemes {
-		var ser8, grp8 *Run
 		for _, nc := range clientCounts {
-			for _, group := range []bool{false, true} {
-				r := runOne(sc, nc, group, *nPerClient, *writeDelay)
-				doc.Runs = append(doc.Runs, r)
-				fmt.Fprintf(os.Stderr, "%-7s %d clients %-10s %8.0f txn/s  forces=%d/%d commits\n",
-					r.Scheme, r.Clients, r.Arm, r.TxnsPerSec, r.LogForces, r.Commits)
-				if nc == 8 {
-					rr := r
-					if group {
-						grp8 = &rr
-					} else {
-						ser8 = &rr
-					}
-				}
+			r := runOne(sc, nc, *nPerClient, *writeDelay)
+			doc.Runs = append(doc.Runs, r)
+			fmt.Fprintf(os.Stderr, "%-7s %d clients %8.0f txn/s  forces=%d/%d commits\n",
+				r.Scheme, r.Clients, r.TxnsPerSec, r.LogForces, r.Commits)
+			if nc == 8 {
+				doc.Summary = append(doc.Summary, Summary{
+					Scheme:              sc.String(),
+					GroupTPS8:           r.TxnsPerSec,
+					GroupForces8:        r.LogForces,
+					GroupCommits8:       r.Commits,
+					ForcesBelowCommits8: r.LogForces < r.Commits,
+				})
 			}
-		}
-		if ser8 != nil && grp8 != nil {
-			doc.Summary = append(doc.Summary, Summary{
-				Scheme:              sc.String(),
-				SerializedTPS8:      ser8.TxnsPerSec,
-				GroupTPS8:           grp8.TxnsPerSec,
-				Speedup8:            grp8.TxnsPerSec / ser8.TxnsPerSec,
-				GroupForces8:        grp8.LogForces,
-				GroupCommits8:       grp8.Commits,
-				ForcesBelowCommits8: grp8.LogForces < grp8.Commits,
-			})
 		}
 	}
 
@@ -190,9 +172,8 @@ func main() {
 		log.Fatalf("benchcommit: %v", err)
 	}
 	for _, s := range doc.Summary {
-		fmt.Printf("%-7s 8-client speedup %.2fx (%.0f -> %.0f txn/s), forces %d < commits %d: %v\n",
-			s.Scheme, s.Speedup8, s.SerializedTPS8, s.GroupTPS8,
-			s.GroupForces8, s.GroupCommits8, s.ForcesBelowCommits8)
+		fmt.Printf("%-7s 8 clients %.0f txn/s, forces %d < commits %d: %v\n",
+			s.Scheme, s.GroupTPS8, s.GroupForces8, s.GroupCommits8, s.ForcesBelowCommits8)
 	}
 }
 
@@ -211,7 +192,7 @@ func benchStore() disk.Store {
 }
 
 // runOne executes one benchmark cell on a fresh in-memory server.
-func runOne(sc quickstore.Scheme, nclients int, group bool, nPerClient int, writeDelay time.Duration) Run {
+func runOne(sc quickstore.Scheme, nclients, nPerClient int, writeDelay time.Duration) Run {
 	mode, err := sc.ServerMode()
 	if err != nil {
 		log.Fatalf("benchcommit: %v", err)
@@ -221,11 +202,7 @@ func runOne(sc quickstore.Scheme, nclients int, group bool, nPerClient int, writ
 		Store:           benchStore(),
 		LogCapacity:     wal.DefaultCapacity,
 		CheckpointEvery: 1 << 30, // keep checkpoints out of the timed window
-		Serialize:       !group,
-		WPLInstallAsync: group, // the concurrent arm gets the async installer
-	}
-	if !group {
-		cfg.GroupCommitDelay = -1 // inline force per commit, the old behaviour
+		WPLInstallAsync: true,
 	}
 	srv := server.New(cfg)
 	defer srv.Close()
@@ -305,19 +282,14 @@ func runOne(sc quickstore.Scheme, nclients int, group bool, nPerClient int, writ
 		LatchContention: after.LatchContention - before.LatchContention,
 		LockWaits:       after.LockWaits - before.LockWaits,
 	}
-	if group {
-		r.Arm = "group"
-		batches := after.GroupCommit.Batches - before.GroupCommit.Batches
-		gcCommits := after.GroupCommit.Commits - before.GroupCommit.Commits
-		if batches > 0 {
-			r.MeanBatch = float64(gcCommits) / float64(batches)
-		}
-		for i := range after.GroupCommit.BatchSizes {
-			r.BatchSizes = append(r.BatchSizes,
-				after.GroupCommit.BatchSizes[i]-before.GroupCommit.BatchSizes[i])
-		}
-	} else {
-		r.Arm = "serialized"
+	batches := after.GroupCommit.Batches - before.GroupCommit.Batches
+	gcCommits := after.GroupCommit.Commits - before.GroupCommit.Commits
+	if batches > 0 {
+		r.MeanBatch = float64(gcCommits) / float64(batches)
+	}
+	for i := range after.GroupCommit.BatchSizes {
+		r.BatchSizes = append(r.BatchSizes,
+			after.GroupCommit.BatchSizes[i]-before.GroupCommit.BatchSizes[i])
 	}
 	return r
 }

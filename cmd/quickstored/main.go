@@ -34,11 +34,9 @@ func main() {
 		data      = flag.String("data", "", "data volume file (empty = in-memory)")
 		cacheMB   = flag.Int("cache", 36, "server buffer pool (MB)")
 		logMB     = flag.Int("log", 256, "transaction log capacity (MB)")
-		gcDelay   = flag.Duration("gcdelay", 0, "group-commit max batch delay (0 = batch without delay, <0 = disable group commit)")
 		shards    = flag.Int("shards", 0, "buffer pool latch shards (0 = default)")
 		shardID   = flag.Int("shard-id", 0, "this daemon's shard index in a multi-volume cluster (with -shard-count)")
 		shardN    = flag.Int("shard-count", 1, "total shards in the cluster: page ids and transaction ids are allocated in this daemon's residue class, and cross-shard commits run two-phase (see qsctl 2pc-status)")
-		serial    = flag.Bool("serialize", false, "serialize all sessions on one mutex (pre-group-commit behaviour)")
 		wplSync   = flag.Bool("wpl-sync-install", false, "wpl: install committed pages inline at commit instead of in the background")
 		archDir   = flag.String("archive-dir", "", "archive log segments and backups into this directory (empty = no archiving)")
 		archInt   = flag.Duration("archive-every", 5*time.Second, "background archiver drain interval")
@@ -85,8 +83,6 @@ func main() {
 		PoolPages:        *cacheMB << 20 / page.Size,
 		LogCapacity:      *logMB << 20,
 		PoolShards:       *shards,
-		Serialize:        *serial,
-		GroupCommitDelay: *gcDelay,
 		WPLInstallAsync:  !*wplSync,
 		FuzzyCheckpoints: *fuzzy,
 		CleanerEvery:     *cleanInt,

@@ -367,10 +367,14 @@ func replayNamed(system string, seed int64, point int64, v sweepVariant) (*Sweep
 }
 
 // samplePoints picks up to budget points from 1..n, evenly spaced,
-// including 1 and n.
+// including 1 and n. A budget of 1 is raised to 2: one point cannot span
+// both ends. A budget ≤ 0 picks every point.
 func samplePoints(n int64, budget int) []int64 {
 	if n <= 0 {
 		return nil
+	}
+	if budget == 1 {
+		budget = 2
 	}
 	if budget <= 0 || int64(budget) >= n {
 		pts := make([]int64, 0, n)

@@ -7,9 +7,10 @@ import (
 
 // Sweep knobs: `go test ./internal/harness/ -run TestSweep -sweep.budget=50`
 // replays 50 evenly spaced crash points per scheme. Budget 0 picks a default
-// (smaller under -short); a negative budget replays every enumerated point.
+// (smaller under -short); a negative budget replays every enumerated point;
+// budget 1 is raised to 2, since the sample always spans the first and last.
 var (
-	sweepBudget = flag.Int("sweep.budget", 0, "crash-point replays per scheme (0 = default, <0 = all)")
+	sweepBudget = flag.Int("sweep.budget", 0, "crash-point replays per scheme (0 = default, <0 = all, 1 is raised to 2)")
 	sweepSeed   = flag.Int64("sweep.seed", 1, "sweep workload seed")
 )
 
@@ -122,7 +123,7 @@ func TestSamplePoints(t *testing.T) {
 		n      int64
 		budget int
 	}{
-		{10, 3}, {10, 0}, {1, 5}, {250, 50}, {7, 7},
+		{10, 3}, {10, 0}, {1, 5}, {250, 50}, {7, 7}, {10, 1}, {1, 1},
 	} {
 		pts := samplePoints(tc.n, tc.budget)
 		if len(pts) == 0 {
@@ -131,7 +132,7 @@ func TestSamplePoints(t *testing.T) {
 		if pts[0] != 1 || pts[len(pts)-1] != tc.n {
 			t.Errorf("n=%d budget=%d: sample %v must span 1..%d", tc.n, tc.budget, pts, tc.n)
 		}
-		if tc.budget > 0 && len(pts) > tc.budget {
+		if tc.budget > 0 && len(pts) > max(tc.budget, 2) {
 			t.Errorf("n=%d budget=%d: %d points exceed budget", tc.n, tc.budget, len(pts))
 		}
 		for i := 1; i < len(pts); i++ {

@@ -1,7 +1,7 @@
 package lint
 
 // goroutine-lifecycle: every background goroutine must be stoppable. The
-// repo's maintenance machinery — flusher, page cleaner, scrubber,
+// repo's maintenance machinery — WPL installer, page cleaner, scrubber,
 // archiver, standby applier — all follow one shape: a loop that selects
 // on a stop channel (closed by Close/Stop) and returns. A loop that
 // cannot reach its own exit outlives Close, keeps a *Server (and its

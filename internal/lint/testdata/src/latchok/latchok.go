@@ -14,7 +14,6 @@ import (
 
 type node struct {
 	gate  sync.RWMutex
-	big   sync.Mutex
 	attMu sync.Mutex
 	wplMu sync.Mutex
 	pool  *buffer.Sharded
@@ -25,15 +24,13 @@ func (n *node) enter() func() {
 	return n.gate.RUnlock
 }
 
-// fullOrder walks the whole legal chain gate → big → shard → leaf.
+// fullOrder walks the whole legal chain gate → shard → leaf.
 func (n *node) fullOrder(pid page.ID) {
 	defer n.enter()()
-	n.big.Lock()
 	sh := n.pool.Lock(pid)
 	n.attMu.Lock()
 	n.attMu.Unlock()
 	sh.Unlock()
-	n.big.Unlock()
 }
 
 // sequential holds one shard latch at a time: never two at once.

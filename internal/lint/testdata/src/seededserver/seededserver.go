@@ -16,7 +16,6 @@ import (
 // Server mirrors the latch fields of the real internal/server.Server.
 type Server struct {
 	gate    sync.RWMutex
-	big     sync.Mutex
 	attMu   sync.Mutex
 	dptMu   sync.Mutex
 	allocMu sync.Mutex
@@ -37,14 +36,6 @@ func (s *Server) fix(pid page.ID) {
 	s.dptMu.Lock()
 	s.dptMu.Unlock()
 	sh.Unlock()
-}
-
-// serialize is the legal gate → big prefix: clean.
-func (s *Server) serialize() {
-	exit := s.enter()
-	s.big.Lock()
-	s.big.Unlock()
-	exit()
 }
 
 // commitBroken seeds two inversions: a leaf mutex held across a shard

@@ -37,12 +37,12 @@
 //     happens-before through the gate.
 //   - Stats fields are updated with atomics.
 //
-// Latch order (outer to inner): gate.R → big (Serialize) → one shard latch
-// → attMu → {dptMu | wplMu} → log/store internal locks; allocMu is a leaf
-// taken on its own. Never acquire a shard latch while holding one of the
-// leaf mutexes, and never hold two shard latches (checkpoint-style paths
-// that need all shards run under gate.W, where the pool helpers may latch
-// shards in index order).
+// Latch order (outer to inner): gate.R → one shard latch → attMu →
+// {dptMu | wplMu} → log/store internal locks; allocMu is a leaf taken on its
+// own. Never acquire a shard latch while holding one of the leaf mutexes,
+// and never hold two shard latches (checkpoint-style paths that need all
+// shards run under gate.W, where the pool helpers may latch shards in index
+// order).
 //
 // attMu is more than the ATT map lock: every log append that updates a
 // recovery table (a session record's lastLSN chain, a DPT insert, a WPL
@@ -143,17 +143,6 @@ type Config struct {
 	// crash-point sweep uses this to restart a server over the surviving
 	// store and log of a crashed instance, as reopening the log disk would.
 	Log *wal.Log
-	// Serialize reverts to the pre-concurrent behavior: one global mutex
-	// around every operation and an inline log force per commit. It exists
-	// as the baseline arm of the commit-throughput benchmark.
-	Serialize bool
-	// GroupCommitDelay tunes group commit. 0 (the default) enables group
-	// commit with no extra batching delay: a flush still covers every commit
-	// parked while the previous flush was in progress. A positive value
-	// makes each group flush wait that long for more committers to join
-	// (throughput up, commit latency up). A negative value disables group
-	// commit entirely: each commit forces the log inline.
-	GroupCommitDelay time.Duration
 	// WPLInstallAsync moves committed-page installs to a background
 	// goroutine (the paper's §3.4.2 asynchronous installer). Off by
 	// default: the crash-point sweep needs installs to happen at
@@ -271,7 +260,7 @@ type Stats struct {
 type StatsX struct {
 	Stats
 	GroupCommit     wal.GroupCommitStats
-	LogForces       int64   // stable log writes (each group flush is one)
+	LogForces       int64   // stable log writes (each group-commit leader write is one)
 	LogPagesWritten int64   // cumulative 8 KB log pages written
 	PoolHits        int64   // buffer pool hits
 	PoolMisses      int64   // buffer pool misses
@@ -356,7 +345,6 @@ type Server struct {
 
 	// gate quiesces the server: see the package comment's concurrency model.
 	gate sync.RWMutex
-	big  sync.Mutex // Serialize mode only: the legacy global mutex
 
 	pool *buffer.Sharded
 
@@ -458,9 +446,6 @@ func New(cfg Config) *Server {
 		s.nextPage = page.ID(cfg.ShardID + 1)
 	}
 	s.standby.Store(cfg.Standby)
-	if cfg.GroupCommitDelay > 0 {
-		s.log.SetGroupCommitDelay(cfg.GroupCommitDelay)
-	}
 	if cfg.WPLInstallAsync && cfg.Mode == ModeWPL {
 		s.installCh = make(chan installJob, 256)
 		s.installWG.Add(1)
@@ -578,17 +563,10 @@ func (s *Server) ExtendedStats() StatsX {
 // Log exposes the log manager for tests and tools.
 func (s *Server) Log() *wal.Log { return s.log }
 
-// enter takes the per-operation (read) side of the quiesce gate — and, in
-// Serialize mode, the legacy global mutex. The returned func releases both.
+// enter takes the per-operation (read) side of the quiesce gate. The
+// returned func releases it.
 func (s *Server) enter() func() {
 	s.gate.RLock()
-	if s.cfg.Serialize {
-		s.big.Lock()
-		return func() {
-			s.big.Unlock()
-			s.gate.RUnlock()
-		}
-	}
 	return s.gate.RUnlock
 }
 
@@ -1069,9 +1047,9 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 }
 
 // Commit commits tid: the commit record and everything before it is made
-// stable — via the group-commit flusher unless group commit is disabled —
-// then locks are released. Under WPL the transaction's logged pages become
-// installable and are installed (inline, or by the background installer).
+// stable by group commit (wal.CommitWait), then locks are released. Under
+// WPL the transaction's logged pages become installable and are installed
+// (inline, or by the background installer).
 func (sn *Session) Commit(tid logrec.TID) error {
 	s := sn.s
 	exit := s.enter()
@@ -1111,7 +1089,7 @@ func (sn *Session) Commit(tid logrec.TID) error {
 	// that catches this transaction before its ATT delete sees lastLSN
 	// pointing at the commit record (restart then knows it is no loser), and
 	// a WPL snapshot sees its copies marked. Only the append is inside —
-	// the force below can wait on the group-commit flusher.
+	// the force below can wait out another committer's group write.
 	s.attMu.Lock()
 	if _, err := s.log.Append(c); err != nil {
 		s.attMu.Unlock()
@@ -1133,13 +1111,9 @@ func (sn *Session) Commit(tid logrec.TID) error {
 		s.wplMu.Unlock()
 	}
 	s.attMu.Unlock()
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		// Park until a group flush covers the commit record; the returned
-		// page count is this committer's share of the group's one write.
-		sn.m.LogWrite(s.log.CommitWait(c.LSN + uint64(c.EncodedSize())))
-	}
+	// Group commit: lead a stable write or park until one covers the commit
+	// record; the returned page count is this committer's share of it.
+	sn.m.LogWrite(s.log.CommitWait(c.LSN + uint64(c.EncodedSize())))
 	if s.cfg.CommitAck != nil {
 		// Semi-sync replication: the commit record is stable locally; now
 		// wait for a standby to acknowledge the LSN just past it (the shipper
@@ -1269,8 +1243,8 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 	if e.commitEnd > s.log.StableEnd() {
 		// The committed marking is applied with the commit record's append,
 		// before the force — an evictor can get here while the committer is
-		// still parked in the group-commit flusher. The permanent location
-		// must not see the copy before its commit record is stable.
+		// still parked in group commit. The permanent location must not
+		// see the copy before its commit record is stable.
 		sn.meter().LogWrite(s.log.Force())
 	}
 	var img []byte

@@ -114,13 +114,9 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 	//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
 	t.prepTime = time.Now()
 	s.attMu.Unlock()
-	// The yes vote must be stable before it is uttered: ride the group-commit
-	// flusher exactly as a commit force does.
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		sn.m.LogWrite(s.log.CommitWait(p.LSN + uint64(p.EncodedSize())))
-	}
+	// The yes vote must be stable before it is uttered: ride group commit
+	// exactly as a commit force does.
+	sn.m.LogWrite(s.log.CommitWait(p.LSN + uint64(p.EncodedSize())))
 	atomic.AddInt64(&s.stats.TwoPCPrepares, 1)
 	exit()
 	return nil
@@ -191,11 +187,7 @@ func (sn *Session) logDecision(tid logrec.TID) error {
 	s.decided[tid] = decidedTxn{lsn: d.LSN, parts: append([]int(nil), t.parts...)}
 	s.decMu.Unlock()
 	s.attMu.Unlock()
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		sn.m.LogWrite(s.log.CommitWait(d.LSN + uint64(d.EncodedSize())))
-	}
+	sn.m.LogWrite(s.log.CommitWait(d.LSN + uint64(d.EncodedSize())))
 	exit()
 	return nil
 }

@@ -59,31 +59,33 @@ type Log struct {
 	// oldest dirty-page recLSN here, since restart redo must scan from it).
 	floor uint64
 
-	// Group commit. Committers park in CommitWait until a flush attempt has
-	// covered their commit LSN; a one-shot flusher goroutine performs one
-	// stable write per group. attempt tracks how far flushes have been
-	// *attempted* (the flush limiter may have clamped the actual stable end):
-	// under fault injection a swallowed flush models a crash, and the commit
-	// call — like the old inline Force — returns rather than hanging.
-	gcCond        *sync.Cond
-	gcDelay       time.Duration // extra wait for a group to form before flushing
-	writeDelay    time.Duration // modeled log-device latency per stable write
-	attempt       uint64        // highest LSN any flush has attempted to make stable
-	gcWaiters     int64
-	flusherOn     bool
-	epoch         uint64 // bumped by Crash so parked committers drain
-	pendingCharge int    // flushed pages not yet charged to a committer's meter
-	gcStats       GroupCommitStats
+	// Group commit (CommitWait) and Force share one stable-write path
+	// (write): at most one modeled device write is in flight at a time.
+	// The committer that finds none in flight leads — it performs the
+	// group's write on its own goroutine — and committers arriving during
+	// that write park on gcCond until a write covers them. attempt tracks
+	// how far flushes have been *attempted* (the flush limiter may have
+	// clamped the actual stable end): under fault injection a swallowed
+	// flush models a crash, and the commit call returns rather than hanging.
+	gcCond     *sync.Cond
+	writeDelay time.Duration // modeled log-device latency per stable write
+	attempt    uint64        // highest LSN any flush has attempted to make stable
+	flushing   bool          // a write is in flight (l.mu released across writeDelay)
+	flushTo    uint64        // target of the write in flight
+	group      int64         // committers the in-flight group write covers
+	epoch      uint64        // bumped by Crash so parked committers drain
+	gcStats    GroupCommitStats
 }
 
 // GroupCommitStats counts group-commit activity for observability
-// (qsctl stats, the commit-throughput benchmark).
+// (qsctl stats, the benchmarks). A batch is one leader's stable write; its
+// size is the leader plus every committer whose record that write covered.
 type GroupCommitStats struct {
-	Commits        int64     // commit waits served
-	Batches        int64     // group flushes performed
-	PagesWritten   int64     // log pages written by group flushes
+	Commits        int64     // CommitWait calls served
+	Batches        int64     // leader writes performed
+	PagesWritten   int64     // log pages written by leader writes
 	FlushesAvoided int64     // commits that did not need their own stable write
-	BatchSizes     [16]int64 // histogram: group flushes by committer count (last bucket = 15+)
+	BatchSizes     [16]int64 // histogram: leader writes by committer count (last bucket = 15+)
 }
 
 // DefaultCapacity is the log size used when Config.Capacity is zero: 256 MB,
@@ -219,20 +221,40 @@ func (l *Log) advanceFlushed(proposed uint64) int {
 // Force makes every appended record stable and returns the number of 8 KB
 // log pages physically written, so callers can charge the log disk. A force
 // that has nothing to flush writes no pages. When a write delay is
-// configured (SetWriteDelay) the caller blocks for one device write.
+// configured (SetWriteDelay) the caller blocks for one device write, after
+// any write already in flight.
 func (l *Log) Force() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writeDelay > 0 && l.next > l.flushed {
+	for l.flushing {
+		l.gcCond.Wait()
+	}
+	return l.write(l.next)
+}
+
+// write is the one modeled stable write, shared by Force and the
+// group-commit leader: it makes the log stable up to target and returns the
+// 8 KB log pages written. Caller holds l.mu and no write is in flight. With
+// a write delay configured, l.mu is released only across the device
+// latency; flushing is set meanwhile, so committers arriving then park
+// rather than start a second write. A Crash in that window voids the write:
+// nothing becomes stable and it returns 0 (Crash has already released the
+// parked committers). The flush limiter may clamp or swallow the write, but
+// advanceFlushed still records the attempt.
+func (l *Log) write(target uint64) int {
+	if l.writeDelay > 0 && target > l.flushed {
 		e := l.epoch
+		l.flushing, l.flushTo = true, target
 		l.mu.Unlock()
 		time.Sleep(l.writeDelay)
 		l.mu.Lock()
 		if l.epoch != e {
 			return 0 // crashed while the write was in flight
 		}
+		l.flushing = false
+		defer l.gcCond.Broadcast()
 	}
-	n := l.advanceFlushed(l.next)
+	n := l.advanceFlushed(target)
 	if n > 0 {
 		l.forces++
 		l.pages += int64(n)
@@ -240,104 +262,63 @@ func (l *Log) Force() int {
 	return n
 }
 
-// SetGroupCommitDelay sets the extra time a group flush waits for more
-// committers to join before writing (0 = flush as soon as the flusher runs,
-// which still batches every committer already parked).
-func (l *Log) SetGroupCommitDelay(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.gcDelay = d
-}
-
 // SetWriteDelay models the latency of one stable log write (the device the
-// paper's dedicated log disk would be). Force and group flushes block for
-// this long per write; ForceFull (asynchronous full-page writes) does not.
-// The commit-throughput benchmark uses this so group commit shows its real
-// effect — amortizing the device write across a group — even on a machine
-// whose in-memory "log disk" is otherwise free.
+// paper's dedicated log disk would be). Force and group-commit leaders block
+// for this long per write; ForceFull (asynchronous full-page writes) does
+// not. The commit-throughput benchmark uses this so group commit shows its
+// real effect — amortizing the device write across a group — even on a
+// machine whose in-memory "log disk" is otherwise free.
 func (l *Log) SetWriteDelay(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeDelay = d
 }
 
-// CommitWait makes the record ending at lsn stable via group commit and
-// returns the number of log pages charged to this committer (the whole
-// group's write is charged to the first committer it wakes; the rest charge
-// zero, conserving total pages). The caller must have appended its commit
-// record (so lsn ≤ End()).
+// CommitWait makes the record ending at lsn stable via leader-based group
+// commit and returns the number of log pages charged to this committer. The
+// caller must have appended its commit record (so lsn ≤ End()).
+//
+// A committer that finds no write in flight becomes the leader: it writes
+// everything appended so far in one stable write and is charged that
+// write's pages. Committers arriving while a write is in flight park; the
+// ones it covers return when it lands, charged zero, and the rest are
+// covered by the next leader's write — one of them leads it. Total charges
+// therefore equal GroupStats().PagesWritten.
 //
 // The commit is satisfied as soon as a flush ATTEMPT covers lsn. Normally
 // the attempt succeeds and the record is stable; under the crash-point
 // sweep's flush limiter the attempt may be swallowed, which models the
-// server dying mid-write — the call returns, exactly as the old inline
-// Force did, and the sweep's recovery invariants treat the transaction by
-// where the durability boundary actually froze.
+// server dying mid-write — the call returns, and the sweep's recovery
+// invariants treat the transaction by where the durability boundary
+// actually froze. A Crash releases the leader and every parked committer.
 func (l *Log) CommitWait(lsn uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.gcStats.Commits++
-	if l.flushed >= lsn || l.attempt >= lsn {
-		// Already stable (or already attempted): no write needed at all.
-		l.gcStats.FlushesAvoided++
-		charge := l.pendingCharge
-		l.pendingCharge = 0
-		return charge
-	}
 	e := l.epoch
-	l.gcWaiters++
-	for l.flushed < lsn && l.attempt < lsn && l.epoch == e {
-		if !l.flusherOn {
-			l.flusherOn = true
-			go l.flushGroup()
+	for l.flushing && l.attempt < lsn && l.epoch == e {
+		if lsn <= l.flushTo {
+			l.group++ // the write in flight covers this record
 		}
 		l.gcCond.Wait()
 	}
-	l.gcWaiters--
-	charge := l.pendingCharge
-	l.pendingCharge = 0
-	return charge
-}
-
-// flushGroup is the dedicated flusher: it performs one stable write covering
-// every commit parked at the moment of the write, then exits. A committer
-// that arrives mid-flush re-arms it, so there is never more than one flusher
-// and never a lost wakeup. Sleeping happens outside the log lock: the
-// batching delay and the device write time are exactly the windows in which
-// new committers join the group.
-func (l *Log) flushGroup() {
-	l.mu.Lock()
-	gcDelay, writeDelay := l.gcDelay, l.writeDelay
-	l.mu.Unlock()
-	if gcDelay > 0 {
-		time.Sleep(gcDelay)
+	if l.epoch != e {
+		return 0 // drained by a crash
 	}
-	if writeDelay > 0 {
-		time.Sleep(writeDelay)
+	if l.attempt >= lsn {
+		// Covered by another committer's write or a Force.
+		l.gcStats.FlushesAvoided++
+		return 0
 	}
-	l.mu.Lock()
-	batch := l.gcWaiters
-	n := l.advanceFlushed(l.next)
-	if n > 0 {
-		l.forces++
-		l.pages += int64(n)
-		l.pendingCharge += n
+	l.group = 1
+	n := l.write(l.next)
+	if l.epoch != e {
+		return 0
 	}
 	l.gcStats.Batches++
-	idx := batch
-	if idx > int64(len(l.gcStats.BatchSizes)-1) {
-		idx = int64(len(l.gcStats.BatchSizes) - 1)
-	}
-	if idx >= 0 {
-		l.gcStats.BatchSizes[idx]++
-	}
-	if batch > 1 {
-		l.gcStats.FlushesAvoided += batch - 1
-	}
+	l.gcStats.BatchSizes[min(l.group, int64(len(l.gcStats.BatchSizes)-1))]++
 	l.gcStats.PagesWritten += int64(n)
-	l.flusherOn = false
-	l.gcCond.Broadcast()
-	l.mu.Unlock()
+	return n
 }
 
 // GroupStats returns a snapshot of the group-commit counters.
@@ -386,7 +367,7 @@ func (l *Log) Crash() {
 	// their wait loops exit.
 	l.epoch++
 	l.attempt = l.flushed
-	l.pendingCharge = 0
+	l.flushing = false
 	l.gcCond.Broadcast()
 }
 
@@ -679,7 +660,7 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // delivers the volatile tail (shipping a record the primary could still lose
 // in a crash would let a standby get ahead of its primary), it re-acquires
 // the log lock per record so a long catch-up scan never blocks appenders or
-// the group-commit flusher, and it stops promptly when cancel is closed.
+// group-commit leaders, and it stops promptly when cancel is closed.
 //
 // Each delivered record is staged in a buffer private to this call, so —
 // unlike Scan — the record stays valid while fn runs without the log lock
