@@ -12,14 +12,15 @@
 # surface: the shipping/apply/promotion paths under -race and the failover
 # sweep smoke (every scheme, record-boundary stream cuts; DESIGN.md §14),
 # and the sharding surface: the 2PC router under -race and the two-shard
-# crash/stall sweep smoke (every scheme; DESIGN.md §16), and the repository
+# crash/stall sweep smoke (every scheme; DESIGN.md §16), the TCP transport
+# (pipelined ships, lost-connection handling) under -race, and the repository
 # benchmark module (qsbench) vetted and tested against the current tree.
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweep-smoke sweep-full race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke bench-commit bench-ckpt race-repl repl-sweep-smoke bench-repl race-shard twopc-sweep-smoke bench-shard qsbench-check
+.PHONY: check vet lint lint-fixtures build test race sweep-smoke sweep-full race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke bench-commit bench-ckpt race-repl repl-sweep-smoke bench-repl race-shard twopc-sweep-smoke bench-shard race-wire qsbench-check
 
-check: vet lint lint-fixtures build race sweep-smoke race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke race-repl repl-sweep-smoke race-shard twopc-sweep-smoke qsbench-check
+check: vet lint lint-fixtures build race sweep-smoke race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke race-repl repl-sweep-smoke race-shard twopc-sweep-smoke race-wire qsbench-check
 
 vet:
 	$(GO) vet ./...
@@ -157,6 +158,13 @@ twopc-sweep-smoke:
 # writing BENCH_shard.json (DESIGN.md §16).
 bench-shard:
 	$(GO) run ./cmd/benchcommit -shards 4 -out BENCH_shard.json
+
+# The TCP client's pipelined ships (mutex-guarded pending replies, window
+# drains, lost-connection reporting) and the daemon's connection handlers
+# under the race detector, plus the public remote-store round trip over TCP.
+race-wire:
+	$(GO) test -race ./internal/wire/ -count=1
+	$(GO) test -race . -run TestRemoteStoreOverTCP -count=1
 
 # qsbench (BENCHMARK.json's harness) is a module of its own, so `go test
 # ./...` from the root never compiles it; vet and test it here so a change

@@ -9,6 +9,20 @@ package wire
 // status 0 means success with result payload; otherwise the payload is an
 // error message and the status selects a sentinel so errors.Is works across
 // the wire for the errors callers branch on.
+//
+// Every request gets exactly one response, and a connection's requests are
+// served one at a time in arrival order. Ships (ShipLog, ShipPage) are
+// one-way on the client: TCPClient buffers the frame and returns without
+// waiting, and the next synchronous request carries the buffered ships out
+// in the same write and reads their deferred responses, in order, before
+// its own. At most shipWindow ships wait for their responses; a ship that
+// finds the window full drains it first. Because the stream is ordered, a
+// page's log records still reach the server before the page (WAL), and a
+// Commit runs only after every ship queued ahead of it. A ship that fails
+// server-side aborts its transaction, since the requests the client queued
+// behind it (a Commit among them) are already on their way. The server
+// flushes its responses only when it has no further request buffered, so
+// the responses to a burst of pipelined ships leave in one write.
 
 import (
 	"bufio"
@@ -20,6 +34,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/archive"
 	"repro/internal/disk"
@@ -107,35 +122,20 @@ func opName(op byte) string {
 }
 
 // opCounters counts requests served per op across every connection of one
-// daemon. Snapshots are plain maps; consumers (qsctl stats) must sort the
-// keys before printing.
-type opCounters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
+// daemon, one atomic counter per possible op byte (unknown ops included), so
+// counting takes no lock. Snapshots are plain maps keyed by opName holding
+// only the ops seen; consumers (qsctl stats) must sort the keys before
+// printing.
+type opCounters [256]atomic.Int64
 
-func newOpCounters() *opCounters {
-	return &opCounters{m: make(map[string]int64)}
-}
-
-func (c *opCounters) inc(op byte) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.m[opName(op)]++
-	c.mu.Unlock()
-}
+func (c *opCounters) inc(op byte) { c[op].Add(1) }
 
 func (c *opCounters) snapshot() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
+	out := make(map[string]int64)
+	for op := range c {
+		if n := c[op].Load(); n != 0 {
+			out[opName(byte(op))] = n
+		}
 	}
 	return out
 }
@@ -263,19 +263,27 @@ func Serve(lis net.Listener, srv *server.Server) error {
 
 // ServeWith is Serve with options.
 func ServeWith(lis net.Listener, srv *server.Server, opts ServeOpts) error {
-	ops := newOpCounters()
+	d := &daemon{srv: srv, opts: opts}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, srv, opts, ops)
+		go d.serveConn(conn)
 	}
 }
 
-func serveConn(conn net.Conn, srv *server.Server, opts ServeOpts, ops *opCounters) {
+// daemon is what every connection of one ServeWith shares: the server, the
+// optional management surfaces and the per-op request counters.
+type daemon struct {
+	srv  *server.Server
+	opts ServeOpts
+	ops  opCounters
+}
+
+func (d *daemon) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sn := srv.NewSession(nil, nil)
+	sn := d.srv.NewSession(nil, nil)
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
 	// Transactions begun on this connection; a client crash (connection
@@ -308,28 +316,10 @@ func serveConn(conn net.Conn, srv *server.Server, opts ServeOpts, ops *opCounter
 		if err != nil {
 			return
 		}
-		ops.inc(f.op)
-		var status byte
-		var payload []byte
-		if f.op == opFaults {
-			status, payload = handleFaults(opts.Faults, f.payload)
-		} else if f.op == opStats {
-			status, payload = handleStats(srv, opts, ops)
-		} else if f.op == opReplFetch {
-			status, payload = handleReplFetch(opts.Repl, f.payload)
-		} else if f.op == opPromote {
-			status, payload = handlePromote(opts.Standby)
-		} else if f.op == opBackup {
-			status, payload = handleBackup(opts.Archive)
-		} else if f.op == opArchStats {
-			status, payload = handleArchStats(opts.Archive)
-		} else if f.op == opScrub {
-			status, payload = handleScrub(sn, f.payload)
-		} else {
-			status, payload = dispatch(sn, f)
-		}
-		switch status {
-		case stOK:
+		d.ops.inc(f.op)
+		status, payload := d.dispatch(sn, f)
+		switch {
+		case status == stOK:
 			switch f.op {
 			case opBegin:
 				active[logrec.TID(binary.LittleEndian.Uint64(payload))] = true
@@ -340,10 +330,13 @@ func serveConn(conn net.Conn, srv *server.Server, opts ServeOpts, ops *opCounter
 					delete(active, f.tid)
 				}
 			}
-		case stFaultAbort:
+		case status == stFaultAbort, f.op == opShipLog, f.op == opShipPage:
 			// Graceful degradation: a disk fault failed this request, not the
 			// process. Abort the affected transaction so its locks release
-			// and every other client keeps running.
+			// and every other client keeps running. A failed ship aborts it
+			// too: the client learns of the failure only after the requests
+			// it queued behind the ship, so a Commit among them must find the
+			// transaction gone rather than commit it without the ship.
 			if active[f.tid] {
 				sn.Abort(f.tid)
 				delete(active, f.tid)
@@ -351,6 +344,11 @@ func serveConn(conn net.Conn, srv *server.Server, opts ServeOpts, ops *opCounter
 		}
 		if err := writeFrame(w, []byte{status}, payload); err != nil {
 			return
+		}
+		// Coalesce: while more requests are already buffered (pipelined
+		// ships), their responses join this one in the next write.
+		if r.Buffered() > 0 {
+			continue
 		}
 		if err := w.Flush(); err != nil {
 			return
@@ -389,18 +387,18 @@ func handleFaults(fs *faultinject.Store, payload []byte) (byte, []byte) {
 // handleStats serves the opStats management op: the server's extended
 // counter snapshot, JSON-encoded (a management op, so a self-describing
 // format beats another hand-rolled binary layout).
-func handleStats(srv *server.Server, opts ServeOpts, ops *opCounters) (byte, []byte) {
-	ds := DaemonStats{StatsX: srv.ExtendedStats(), Ops: ops.snapshot(), InDoubt: srv.InDoubt()}
-	if opts.Archive != nil {
-		st := opts.Archive.Status()
+func (d *daemon) handleStats() (byte, []byte) {
+	ds := DaemonStats{StatsX: d.srv.ExtendedStats(), Ops: d.ops.snapshot(), InDoubt: d.srv.InDoubt()}
+	if d.opts.Archive != nil {
+		st := d.opts.Archive.Status()
 		ds.Archive = &st
 	}
-	if opts.Repl != nil {
-		st := opts.Repl.Status()
+	if d.opts.Repl != nil {
+		st := d.opts.Repl.Status()
 		ds.Repl = &st
 	}
-	if opts.Standby != nil {
-		st := opts.Standby.Status()
+	if d.opts.Standby != nil {
+		st := d.opts.Standby.Status()
 		ds.Standby = &st
 	}
 	out, err := json.Marshal(ds)
@@ -496,7 +494,9 @@ func handleArchStats(arch *archive.Archiver) (byte, []byte) {
 	return stOK, out
 }
 
-func dispatch(sn *server.Session, f frame) (byte, []byte) {
+// dispatch serves one request: every op, Service and management alike, is
+// one case of its switch.
+func (d *daemon) dispatch(sn *server.Session, f frame) (byte, []byte) {
 	fail := func(err error) (byte, []byte) {
 		switch {
 		case errors.Is(err, lock.ErrDeadlock):
@@ -516,6 +516,20 @@ func dispatch(sn *server.Session, f frame) (byte, []byte) {
 		}
 	}
 	switch f.op {
+	case opFaults:
+		return handleFaults(d.opts.Faults, f.payload)
+	case opStats:
+		return d.handleStats()
+	case opReplFetch:
+		return handleReplFetch(d.opts.Repl, f.payload)
+	case opPromote:
+		return handlePromote(d.opts.Standby)
+	case opBackup:
+		return handleBackup(d.opts.Archive)
+	case opArchStats:
+		return handleArchStats(d.opts.Archive)
+	case opScrub:
+		return handleScrub(sn, f.payload)
 	case opBegin:
 		// A non-zero tid is an Adopt: the router registering a
 		// coordinator-issued transaction id on this shard.
@@ -611,41 +625,96 @@ func dispatch(sn *server.Session, f frame) (byte, []byte) {
 	}
 }
 
-// TCPClient is a Service over a TCP (or any stream) connection. Calls are
-// serialized; one client workstation issues one request at a time, as in the
-// paper's page-server protocol. A client created by Dial remembers its
-// address and transparently reconnects on the next call after a broken
-// connection, so a retry layer above it (WithRetry) gets a fresh socket per
-// attempt; a client wrapped around a raw connection cannot redial.
+// TCPClient is a Service over a TCP (or any stream) connection, for one
+// client workstation. Calls are serialized. Ships (ShipLog, ShipPage) are
+// one-way: they are buffered and return at once, and the next synchronous
+// call sends them with its own request and reads their responses before
+// its own, so a run of ships costs no round trip of its own. A failed ship
+// surfaces as the error of that later call (errors.Is works as usual); at
+// most shipWindow ships are outstanding at a time.
+//
+// A client created by Dial remembers its address and reconnects on the next
+// call after a broken connection, so a retry layer above it (WithRetry) gets
+// a fresh socket per attempt; a client wrapped around a raw connection
+// cannot redial. Ships still unanswered when the connection breaks are
+// never re-sent: the server aborts a dropped connection's transactions, so
+// the next call fails with an error wrapping server.ErrNoTxn that names
+// them — except a Commit that was already sent behind them, whose outcome
+// is unknown and which fails with the transport error as any Commit does.
 type TCPClient struct {
 	mu   sync.Mutex
 	addr string // non-empty when created by Dial: enables redial
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	// pending lists the ships written since the last drain, oldest first;
+	// their responses are still unread.
+	pending []shipped
+	// lost is the error owed to the next call after a Redirect or Close
+	// dropped the connection with ships pending.
+	lost error
+}
+
+// shipWindow is how many ships may await their responses. A ship that finds
+// the window full drains it, which bounds how long a synchronous call waits
+// behind ships and keeps the unread responses (a few bytes each) far below
+// any socket buffer, so client and server can never both block writing.
+const shipWindow = 16
+
+// shipped names one pending ship, for the error that reports it lost.
+type shipped struct {
+	op  byte
+	tid logrec.TID
+	pid page.ID
+}
+
+func (s shipped) String() string {
+	if s.op == opShipPage {
+		return fmt.Sprintf("%s %v %v", opName(s.op), s.tid, s.pid)
+	}
+	return fmt.Sprintf("%s %v", opName(s.op), s.tid)
 }
 
 // Dial connects to a quickstored server.
 func Dial(addr string) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	c := &TCPClient{addr: addr}
+	if err := c.connectLocked(); err != nil {
 		return nil, err
 	}
-	c := NewTCPClient(conn)
-	c.addr = addr
 	return c, nil
 }
 
 // NewTCPClient wraps an established connection.
 func NewTCPClient(conn net.Conn) *TCPClient {
-	return &TCPClient{
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, 64<<10),
-		w:    bufio.NewWriterSize(conn, 64<<10),
-	}
+	c := &TCPClient{}
+	c.attachLocked(conn)
+	return c
 }
 
-// Close tears down the connection.
+func (c *TCPClient) attachLocked(conn net.Conn) {
+	c.conn = conn
+	c.r = bufio.NewReaderSize(conn, 64<<10)
+	c.w = bufio.NewWriterSize(conn, 64<<10)
+}
+
+// connectLocked makes sure there is a connection, dialing the client's
+// address again after a drop.
+func (c *TCPClient) connectLocked() error {
+	if c.conn != nil {
+		return nil
+	}
+	if c.addr == "" {
+		return fmt.Errorf("%w: connection closed", net.ErrClosed)
+	}
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	c.attachLocked(conn)
+	return nil
+}
+
+// Close tears down the connection. Ships not yet answered are lost with it.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -654,6 +723,7 @@ func (c *TCPClient) Close() error {
 	}
 	err := c.conn.Close()
 	c.conn = nil
+	c.lost = c.loseShipsLocked(net.ErrClosed)
 	return err
 }
 
@@ -666,34 +736,127 @@ func (c *TCPClient) dropConnLocked() {
 	}
 }
 
+// loseShipsLocked forgets the pending ships of a dropped connection and
+// returns the error that reports them, or nil if none were pending.
+func (c *TCPClient) loseShipsLocked(cause error) error {
+	if len(c.pending) == 0 {
+		return nil
+	}
+	err := fmt.Errorf("%w: connection lost before %d shipped request(s) were answered %v: %v",
+		server.ErrNoTxn, len(c.pending), c.pending, cause)
+	c.pending = c.pending[:0]
+	return err
+}
+
+// failLocked handles a transport error: the connection is dropped, and the
+// caller gets the lost-ships error if ships were pending, err otherwise.
+func (c *TCPClient) failLocked(err error) error {
+	c.dropConnLocked()
+	if lost := c.loseShipsLocked(err); lost != nil {
+		return lost
+	}
+	return err
+}
+
+// readyLocked returns the error still owed from a dropped connection, if
+// any, and otherwise makes sure there is a connection to write to.
+func (c *TCPClient) readyLocked() error {
+	if err := c.lost; err != nil {
+		c.lost = nil
+		return err
+	}
+	return c.connectLocked()
+}
+
+// readPendingLocked reads the responses owed to the pending ships, oldest
+// first. shipErr is the first failed ship's error. err is a transport error,
+// after which c.pending holds the ships whose responses were not read.
+func (c *TCPClient) readPendingLocked() (shipErr, err error) {
+	for i := range c.pending {
+		body, err := readBody(c.r)
+		if err != nil {
+			c.pending = append(c.pending[:0], c.pending[i:]...)
+			return shipErr, err
+		}
+		if _, e := decodeReply(body); e != nil && shipErr == nil {
+			shipErr = e
+		}
+	}
+	c.pending = c.pending[:0]
+	return shipErr, nil
+}
+
+// ship sends a one-way request: it is buffered and counted as pending, and
+// its response is read by the next synchronous call or window drain.
+func (c *TCPClient) ship(f frame) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.pending) == shipWindow {
+		if err := c.w.Flush(); err != nil {
+			return c.failLocked(err)
+		}
+		shipErr, err := c.readPendingLocked()
+		if err != nil {
+			return c.failLocked(err)
+		}
+		if shipErr != nil {
+			return shipErr
+		}
+	}
+	if err := c.readyLocked(); err != nil {
+		return err
+	}
+	// Pending from here on: if the write fails, this ship is lost too.
+	c.pending = append(c.pending, shipped{op: f.op, tid: f.tid, pid: f.pid})
+	if err := writeRequest(c.w, f); err != nil {
+		return c.failLocked(err)
+	}
+	return nil
+}
+
+// call sends a synchronous request behind any pending ships, in one write,
+// and returns its result. A failed ship's error takes precedence over the
+// call's own result.
 func (c *TCPClient) call(f frame) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
-		if c.addr == "" {
-			return nil, fmt.Errorf("%w: connection closed", net.ErrClosed)
-		}
-		conn, err := net.Dial("tcp", c.addr)
-		if err != nil {
-			return nil, err
-		}
-		c.conn = conn
-		c.r = bufio.NewReaderSize(conn, 64<<10)
-		c.w = bufio.NewWriterSize(conn, 64<<10)
+	if err := c.readyLocked(); err != nil {
+		return nil, err
 	}
 	if err := writeRequest(c.w, f); err != nil {
-		c.dropConnLocked()
-		return nil, err
+		return nil, c.failLocked(err)
 	}
 	if err := c.w.Flush(); err != nil {
-		c.dropConnLocked()
-		return nil, err
+		return nil, c.failLocked(err)
 	}
-	body, err := readBody(c.r)
-	if err != nil {
-		c.dropConnLocked()
-		return nil, err
+	shipErr, err := c.readPendingLocked()
+	var body []byte
+	if err == nil {
+		body, err = readBody(c.r)
 	}
+	switch {
+	case err != nil && f.op == opCommit:
+		// The commit went out behind the ships, and the server serves a
+		// connection in order: it committed after running every one of
+		// them, or it aborted the transaction on disconnect. Which is
+		// unknown, so this is the ordinary ambiguous commit failure.
+		c.dropConnLocked()
+		if n := len(c.pending); n > 0 {
+			c.pending = c.pending[:0]
+			err = fmt.Errorf("%w (commit sent behind %d unanswered ship(s))", err, n)
+		}
+		return nil, err
+	case err != nil:
+		return nil, c.failLocked(err)
+	case shipErr != nil:
+		return nil, shipErr
+	}
+	return decodeReply(body)
+}
+
+// decodeReply splits a response body into its result payload or the error
+// its status selects.
+func decodeReply(body []byte) ([]byte, error) {
 	if len(body) < 1 {
 		return nil, errors.New("wire: empty response")
 	}
@@ -809,6 +972,7 @@ func (c *TCPClient) Redirect(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dropConnLocked()
+	c.lost = c.loseShipsLocked(errors.New("wire: redirected to " + addr))
 	c.addr = addr
 }
 
@@ -867,16 +1031,15 @@ func (c *TCPClient) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byt
 	return out, nil
 }
 
-// ShipLog implements Service.
+// ShipLog implements Service. It is one-way: a nil error means the batch is
+// queued, and a server-side failure surfaces from a later call.
 func (c *TCPClient) ShipLog(tid logrec.TID, data []byte) error {
-	_, err := c.call(frame{op: opShipLog, tid: tid, payload: data})
-	return err
+	return c.ship(frame{op: opShipLog, tid: tid, payload: data})
 }
 
-// ShipPage implements Service.
+// ShipPage implements Service, one-way like ShipLog.
 func (c *TCPClient) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
-	_, err := c.call(frame{op: opShipPage, tid: tid, pid: pid, payload: data})
-	return err
+	return c.ship(frame{op: opShipPage, tid: tid, pid: pid, payload: data})
 }
 
 // Commit implements Service.
