@@ -62,7 +62,7 @@ sweep-full:
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer, parallel redo) under the race detector.
 race-concurrent:
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestParallelRedo' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestParallelRedo|TestRestart' -count=1
 
 # 2-client group-commit crash sweep: every record-boundary cut between group
 # formation and the stable flush, one scheme, under -race.

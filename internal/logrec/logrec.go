@@ -159,25 +159,38 @@ var (
 // Decode parses one record from the front of b and returns it along with the
 // number of bytes consumed. The returned record's images alias b.
 func Decode(b []byte) (*Record, int, error) {
+	r := new(Record)
+	n, err := DecodeInto(r, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// DecodeInto parses one record from the front of b into *r, overwriting every
+// field, and returns the number of bytes consumed. r's images alias b. It is
+// Decode for callers that decode many records into a slice of values (one
+// allocation for the lot) instead of one allocation per record.
+func DecodeInto(r *Record, b []byte) (int, error) {
 	if len(b) < HeaderSize {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
 	total := int(binary.LittleEndian.Uint32(b))
 	if total < HeaderSize {
-		return nil, 0, ErrBadSizes
+		return 0, ErrBadSizes
 	}
 	if len(b) < total {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
 	if crc32.ChecksumIEEE(b[8:total]) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	beforeLen := int(binary.LittleEndian.Uint16(b[48:]))
 	afterLen := total - HeaderSize - beforeLen
 	if afterLen < 0 {
-		return nil, 0, ErrBadSizes
+		return 0, ErrBadSizes
 	}
-	r := &Record{
+	*r = Record{
 		LSN:      binary.LittleEndian.Uint64(b[8:]),
 		PrevLSN:  binary.LittleEndian.Uint64(b[16:]),
 		TID:      TID(binary.LittleEndian.Uint64(b[24:])),
@@ -192,7 +205,7 @@ func Decode(b []byte) (*Record, int, error) {
 	if afterLen > 0 {
 		r.After = b[HeaderSize+beforeLen : total : total]
 	}
-	return r, total, nil
+	return total, nil
 }
 
 // DecodeAll parses every record in b, which must contain a whole number of

@@ -7,9 +7,12 @@ package server
 // table is logged, and the log is truncated below the oldest LSN any active
 // transaction still needs. Restart then runs analysis from the checkpoint,
 // redoes history conditionally on page LSNs, and rolls back losers with
-// CLRs. Redo is partitioned by page ID across Config.RedoWorkers goroutines
-// — per-page record order is preserved because a page belongs to exactly one
-// worker; undo stays sequential (CLR LSNs must be deterministic).
+// CLRs. All three passes read one wal.Window: the log from min(analysis
+// start, lowest checkpointed recLSN) to its end, copied and CRC-checked
+// once. Redo splits the window's relevant records by page ID into one slice
+// per Config.RedoWorkers goroutine — per-page record order is preserved
+// because a page belongs to exactly one worker; undo stays sequential (CLR
+// LSNs must be deterministic) and finds loser records in the window by LSN.
 //
 // WPL checkpoints write the WPL table to the log (paper §3.4.3); restart is
 // the paper's single backward pass that builds the committed-transactions
@@ -703,8 +706,23 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 		}
 		scanFrom = start + uint64(rec.EncodedSize())
 	}
-	redoFrom := logrec.NoLSN
-	err := s.log.Scan(scanFrom, func(r *logrec.Record) bool {
+	// Decode the restart window once. Analysis reads it from scanFrom; redo
+	// from the lowest recLSN, which a fuzzy checkpoint's DPT may put below
+	// scanFrom (so the window starts there); undo looks losers' records up in
+	// it. The window is dropped when this function returns, before Restart's
+	// final checkpoint.
+	winFrom := scanFrom
+	for _, e := range dpt {
+		if e.rec < winFrom {
+			winFrom = e.rec
+		}
+	}
+	win, err := s.log.Window(winFrom)
+	if err != nil {
+		return err
+	}
+	for i := win.Index(scanFrom); i < len(win.Recs); i++ {
+		r := &win.Recs[i]
 		switch r.Type {
 		case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
 			t := att[r.TID]
@@ -762,11 +780,8 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 			}
 		}
 		s.bumpAllocFor(r)
-		return true
-	})
-	if err != nil {
-		return err
 	}
+	redoFrom := logrec.NoLSN
 	for _, e := range dpt {
 		if redoFrom == logrec.NoLSN || e.rec < redoFrom {
 			redoFrom = e.rec
@@ -775,7 +790,7 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 	// Redo: repeat history for pages in the DPT, conditional on page LSN,
 	// partitioned by page ID across workers.
 	if redoFrom != logrec.NoLSN {
-		if err := s.redoQuiesced(sn, dpt, redoFrom); err != nil {
+		if err := s.redoQuiesced(sn, win.Recs[win.Index(redoFrom):], dpt); err != nil {
 			return err
 		}
 	} else {
@@ -801,7 +816,7 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 			continue
 		}
 		if t.lastLSN != logrec.NoLSN {
-			r, err := s.log.ReadAt(t.lastLSN)
+			r, err := win.ReadAt(t.lastLSN)
 			if err != nil {
 				return fmt.Errorf("server: restart loser check %v at %d: %w", t.tid, t.lastLSN, err)
 			}
@@ -822,7 +837,7 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 				continue
 			}
 		}
-		if err := s.undo(sn, t, logrec.NoLSN); err != nil {
+		if err := s.undo(sn, t, logrec.NoLSN, win.ReadAt); err != nil {
 			return err
 		}
 		e := logrec.NewEnd(t.tid)
@@ -898,75 +913,56 @@ func (s *Server) redoApplyOne(sn *Session, r *logrec.Record) (int64, error) {
 	return 1, nil
 }
 
-// redoQuiesced is the redo pass. With one worker it replays inline, charging
-// the session per record as the serial server did. With several, it scans
-// once and fans records out by page ID — a page's records all go to the same
-// worker, preserving per-page order — then bulk-charges the session for the
-// aggregate work. Caller holds gate.W.
-func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom uint64) error {
+// redoQuiesced is the redo pass over recs, the restart window from the
+// lowest recLSN on. It splits the relevant records by page ID into one slice
+// per worker — a page's records all land in the same slice, in LSN order —
+// and replays each slice. One worker replays inline, charging the session
+// per record as the serial server did; several replay on a goroutine each,
+// meterless, and the session is then bulk-charged for the aggregate work.
+// The records belong to the window, so workers read them without copying.
+// Caller holds gate.W.
+func (s *Server) redoQuiesced(sn *Session, recs []logrec.Record, dpt map[page.ID]dptEntry) error {
 	nw := s.cfg.RedoWorkers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if nw == 1 {
-		var applied int64
-		var redoErr error
-		err := s.log.Scan(redoFrom, func(r *logrec.Record) bool {
-			if !redoRelevant(r, dpt) {
-				return true
-			}
-			n, err := s.redoApplyOne(sn, r)
-			applied += n
-			if err != nil {
-				redoErr = err
-				return false
-			}
-			return true
-		})
-		s.redoApplied = []int64{applied}
-		if err != nil {
-			return err
+	parts := make([][]*logrec.Record, nw)
+	for i := range recs {
+		if r := &recs[i]; redoRelevant(r, dpt) {
+			w := uint64(r.Page) % uint64(nw)
+			parts[w] = append(parts[w], r)
 		}
-		return redoErr
 	}
-
-	chans := make([]chan *logrec.Record, nw)
 	applied := make([]int64, nw)
 	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan *logrec.Record, 64)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := range chans[i] {
-				if errs[i] != nil {
-					continue // drain after failure
-				}
-				n, err := s.redoApplyOne(nil, r)
-				applied[i] += n
-				if err != nil {
-					errs[i] = err
-				}
+	replay := func(w int, sn *Session) {
+		for _, r := range parts[w] {
+			n, err := s.redoApplyOne(sn, r)
+			applied[w] += n
+			if err != nil {
+				errs[w] = err
+				return
 			}
-		}(i)
+		}
 	}
+	if nw == 1 {
+		replay(0, sn)
+		s.redoApplied = applied
+		return errs[0]
+	}
+
 	// Snapshot counters so the session can be bulk-charged for work the
 	// meterless workers perform.
 	preReads := atomic.LoadInt64(&s.stats.DataReads)
 	preWrites := atomic.LoadInt64(&s.stats.DataWrites)
 	preLogPages := s.log.PagesWritten()
-	scanErr := s.log.Scan(redoFrom, func(r *logrec.Record) bool {
-		if !redoRelevant(r, dpt) {
-			return true
-		}
-		// Clone: Scan's record aliases its reusable decode buffer, and this
-		// one crosses a channel into another goroutine.
-		chans[int(uint64(r.Page)%uint64(nw))] <- r.Clone()
-		return true
-	})
-	for _, ch := range chans {
-		close(ch)
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			replay(w, nil)
+		}(w)
 	}
 	wg.Wait()
 	s.redoApplied = applied
@@ -978,9 +974,6 @@ func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom ui
 	sn.meter().DataRead(int(atomic.LoadInt64(&s.stats.DataReads) - preReads))
 	sn.meter().DataWriteAsync(int(atomic.LoadInt64(&s.stats.DataWrites) - preWrites))
 	sn.meter().LogWrite(int(s.log.PagesWritten() - preLogPages))
-	if scanErr != nil {
-		return scanErr
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -1326,7 +1326,7 @@ func (sn *Session) Abort(tid logrec.TID) error {
 	if s.cfg.Mode == ModeWPL {
 		s.wplAbort(sn, t)
 	} else if err == nil {
-		err = s.undo(sn, t, logrec.NoLSN)
+		err = s.undo(sn, t, logrec.NoLSN, s.log.ReadAt)
 	}
 	e := logrec.NewEnd(tid)
 	e.PrevLSN = t.lastLSN
@@ -1380,14 +1380,15 @@ func (s *Server) wplAbort(sn *Session, t *txn) {
 }
 
 // undo rolls back t's update records down to (but not including) stopAt,
-// writing CLRs. Used by abort (stopAt = NoLSN) and by restart to roll back
-// loser transactions. Undo reads the log, so it begins by forcing the
-// volatile tail.
-func (s *Server) undo(sn *Session, t *txn, stopAt uint64) error {
+// writing CLRs and fetching each record with read. Abort (stopAt = NoLSN)
+// reads with the log's ReadAt; restart rolls back losers reading from its
+// decoded window. Undo reads the log, so it begins by forcing the volatile
+// tail.
+func (s *Server) undo(sn *Session, t *txn, stopAt uint64, read func(lsn uint64) (*logrec.Record, error)) error {
 	sn.meter().LogWrite(s.log.Force())
 	cur := t.lastLSN
 	for cur != logrec.NoLSN && cur != stopAt {
-		r, err := s.log.ReadAt(cur)
+		r, err := read(cur)
 		if err != nil {
 			return fmt.Errorf("server: undo %v at %d: %w", t.tid, cur, err)
 		}
@@ -1492,7 +1493,10 @@ func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
 func (s *Server) readSuperblock() (superblock, error) {
 	var buf [page.Size]byte
 	err := s.store.ReadPage(superblockPage, buf[:])
-	if errors.Is(err, disk.ErrNotFound) {
+	if errors.Is(err, disk.ErrNotFound) || err == nil && buf == ([page.Size]byte{}) {
+		// No superblock yet. A volume file may also hold page 0 as a
+		// zero-filled hole: pages above it written before the first
+		// checkpoint (a WPL install, an ESM steal) extend the file past it.
 		return superblock{nextPage: 1, nextTID: 1}, nil
 	}
 	if errors.Is(err, disk.ErrCorruptPage) {

@@ -27,7 +27,7 @@ func newTestServer(t *testing.T, mode Mode) (*Server, *Session) {
 
 // makePage builds a formatted page containing one object with the given
 // contents and returns the page bytes and the object's slot.
-func makePage(t *testing.T, pid page.ID, contents []byte) ([]byte, int) {
+func makePage(t testing.TB, pid page.ID, contents []byte) ([]byte, int) {
 	t.Helper()
 	pg := page.New(pid)
 	slot, err := pg.Allocate(len(contents))
@@ -41,7 +41,7 @@ func makePage(t *testing.T, pid page.ID, contents []byte) ([]byte, int) {
 // createPage runs a transaction that creates a page holding contents,
 // following the client protocol for the server's mode: page-image log record
 // then the page (ESM), page image only (REDO), page only (WPL).
-func createPage(t *testing.T, sn *Session, contents []byte) (page.ID, int) {
+func createPage(t testing.TB, sn *Session, contents []byte) (page.ID, int) {
 	t.Helper()
 	tid := sn.Begin()
 	pid, err := sn.AllocPage(tid)
@@ -76,7 +76,7 @@ func createPage(t *testing.T, sn *Session, contents []byte) (page.ID, int) {
 
 // readObject fetches pid in a fresh transaction and returns the object in
 // slot.
-func readObject(t *testing.T, sn *Session, pid page.ID, slot, n int) []byte {
+func readObject(t testing.TB, sn *Session, pid page.ID, slot, n int) []byte {
 	t.Helper()
 	tid := sn.Begin()
 	data, err := sn.ReadPage(tid, pid, lock.Shared)
@@ -96,9 +96,21 @@ func readObject(t *testing.T, sn *Session, pid page.ID, slot, n int) []byte {
 
 // updateObject runs a transaction overwriting the object's bytes following
 // the mode's client protocol, optionally crashing before commit.
-func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byte, commit bool) {
+func updateObject(t testing.TB, sn *Session, pid page.ID, slot int, newVal []byte, commit bool) {
 	t.Helper()
 	tid := sn.Begin()
+	writeObject(t, sn, tid, pid, slot, newVal)
+	if commit {
+		if err := sn.Commit(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeObject overwrites the object's bytes within tid: an exclusive read,
+// then the update record (ESM, REDO) and the page (ESM, WPL).
+func writeObject(t testing.TB, sn *Session, tid logrec.TID, pid page.ID, slot int, newVal []byte) {
+	t.Helper()
 	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +138,6 @@ func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byt
 			if err := sn.ShipPage(tid, pid, pg.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if commit {
-		if err := sn.Commit(tid); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

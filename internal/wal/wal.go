@@ -19,6 +19,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -408,7 +409,7 @@ func (l *Log) trimTornLocked() {
 	for lsn+logrec.HeaderSize <= l.flushed {
 		var hdr [logrec.HeaderSize]byte
 		l.readRing(lsn, hdr[:])
-		total := uint64(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+		total := uint64(recordLen(hdr[:]))
 		if total < logrec.HeaderSize || lsn+total > l.flushed {
 			break
 		}
@@ -590,7 +591,7 @@ func (l *Log) decodeAt(lsn uint64, scratch *[]byte) (*logrec.Record, error) {
 	}
 	var hdr [logrec.HeaderSize]byte
 	l.readRing(lsn, hdr[:])
-	total := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+	total := recordLen(hdr[:])
 	if total < logrec.HeaderSize {
 		return nil, fmt.Errorf("wal: bad record length %d at LSN %d", total, lsn)
 	}
@@ -718,25 +719,118 @@ func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Reco
 	}
 }
 
-// ScanBackward collects every stable record in [from, StableEnd) and calls
-// fn from the newest to the oldest, stopping early if fn returns false. This
-// is the access pattern of WPL restart (paper §3.4.3); the caller charges
-// the log disk for the pages touched. Records are cloned out of Scan's
-// shared decode buffer, so (unlike Scan) they remain valid after fn returns.
+// ScanBackward calls fn for every stable record in [from, StableEnd), from
+// the newest to the oldest, stopping early if fn returns false. This is the
+// access pattern of WPL restart (paper §3.4.3); the caller charges the log
+// disk for the pages touched. The records come from one decoded Window, so
+// (unlike Scan) they remain valid after fn returns.
 func (l *Log) ScanBackward(from uint64, fn func(*logrec.Record) bool) error {
-	var recs []*logrec.Record
-	if err := l.Scan(from, func(r *logrec.Record) bool {
-		recs = append(recs, r.Clone())
-		return true
-	}); err != nil {
+	w, err := l.Window(from)
+	if err != nil {
 		return err
 	}
-	for i := len(recs) - 1; i >= 0; i-- {
-		if !fn(recs[i]) {
+	for i := len(w.Recs) - 1; i >= 0; i-- {
+		if !fn(&w.Recs[i]) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// Window is a decoded copy of the log from Start up to End: every record in
+// that range, in LSN order, each CRC-checked exactly once. The records' images
+// alias a buffer private to the window, so they stay valid across later
+// appends, truncation and crashes, and may be handed to other goroutines
+// without cloning. Restart decodes its analysis, redo and undo range into one
+// window instead of scanning and re-reading the log once per pass.
+type Window struct {
+	Start uint64          // LSN of the first record (the from passed to Log.Window)
+	End   uint64          // LSN just past the last record
+	Recs  []logrec.Record // the records, in LSN order
+	log   *Log
+}
+
+// Window decodes every record with LSN in [from, End()) into a new Window,
+// under one acquisition of the log lock: the range is copied out of the ring
+// once and decoded into a single slice of records. from must be a record
+// boundary at or above the head (ErrTruncated otherwise). The end of the
+// range follows Scan exactly: a torn or partial record at the tail ends the
+// window cleanly, while a CRC failure wholly below the stable end is
+// corruption and an error.
+func (l *Log) Window(from uint64) (*Window, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.head {
+		return nil, fmt.Errorf("%w: window from %d < head %d", ErrTruncated, from, l.head)
+	}
+	w := &Window{Start: from, End: from, log: l}
+	if from >= l.next {
+		return w, nil
+	}
+	buf := make([]byte, l.next-from)
+	l.readRing(from, buf)
+	// Count the records from their length words first, so the record slice
+	// is allocated once at its final size rather than grown.
+	n := 0
+	for off := 0; off+logrec.HeaderSize <= len(buf); n++ {
+		total := recordLen(buf[off:])
+		if total < logrec.HeaderSize || off+total > len(buf) {
+			break
+		}
+		off += total
+	}
+	w.Recs = make([]logrec.Record, 0, n)
+	off := 0
+	for off+logrec.HeaderSize <= len(buf) {
+		lsn := from + uint64(off)
+		total := recordLen(buf[off:])
+		if total < logrec.HeaderSize {
+			return nil, fmt.Errorf("wal: bad record length %d at LSN %d", total, lsn)
+		}
+		if off+total > len(buf) {
+			break // torn tail after a crash: end of usable log
+		}
+		w.Recs = append(w.Recs, logrec.Record{})
+		if _, err := logrec.DecodeInto(&w.Recs[len(w.Recs)-1], buf[off:off+total]); err != nil {
+			w.Recs = w.Recs[:len(w.Recs)-1]
+			if lsn+uint64(total) >= l.flushed {
+				break // the surviving prefix of a torn write, as in decodeAt
+			}
+			return nil, fmt.Errorf("wal: record at LSN %d: %w", lsn, err)
+		}
+		off += total
+	}
+	w.End = from + uint64(off)
+	return w, nil
+}
+
+// recordLen reads the total-length word at the front of an encoded record.
+func recordLen(b []byte) int {
+	return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+}
+
+// Index returns the index in w.Recs of the first record with LSN >= lsn
+// (len(w.Recs) if there is none).
+func (w *Window) Index(lsn uint64) int {
+	return sort.Search(len(w.Recs), func(i int) bool { return w.Recs[i].LSN >= lsn })
+}
+
+// ReadAt returns the record starting at lsn. Inside the window it is a binary
+// search and the record is the window's own; below Start it falls back to
+// the log's ReadAt (a record older than the window, such as a long-running
+// loser's first update).
+func (w *Window) ReadAt(lsn uint64) (*logrec.Record, error) {
+	if lsn < w.Start {
+		return w.log.ReadAt(lsn)
+	}
+	if lsn >= w.End {
+		return nil, fmt.Errorf("%w: %d (window ends at %d)", ErrBeyondEnd, lsn, w.End)
+	}
+	i := w.Index(lsn)
+	if i == len(w.Recs) || w.Recs[i].LSN != lsn {
+		return nil, fmt.Errorf("wal: LSN %d is not a record boundary", lsn)
+	}
+	return &w.Recs[i], nil
 }
 
 // PagesInRange returns the number of 8 KB log pages overlapping [from, to),
